@@ -8,6 +8,10 @@
 //! pass warms every structure (page-table mappings, reverse maps, MSHR,
 //! eviction vectors reach their steady-state capacity), the second pass is
 //! measured and must allocate exactly nothing.
+//!
+//! Only allocations made on the measuring thread count: the test harness
+//! runs tests on parallel threads, and an allocation by a neighbouring
+//! test is not an allocation by the event loop under measurement.
 
 // The counting allocator has to implement `GlobalAlloc`, which is an
 // unsafe trait; this is the one sanctioned exception to the workspace-wide
@@ -21,28 +25,44 @@ use dpc_types::stream::EventStream;
 use dpc_types::SystemConfig;
 use dpc_workloads::{Scale, WorkloadFactory};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Wraps the system allocator and counts every allocation-side call
-/// (alloc, alloc_zeroed, realloc). Deallocations are not counted: the
-/// contract is about *acquiring* memory on the hot path.
+/// (alloc, alloc_zeroed, realloc) made on an armed thread. Deallocations
+/// are not counted: the contract is about *acquiring* memory on the hot
+/// path.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation-side calls made on this thread since it was armed by
+    /// [`allocations_during`]; `None` while the thread is not measuring.
+    /// Const-initialized and drop-free, so reading it never allocates.
+    static ARMED_COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_allocation() {
+    // `try_with` tolerates allocations during thread teardown, after the
+    // thread-local is gone.
+    let _ = ARMED_COUNT.try_with(|count| {
+        if let Some(n) = count.get() {
+            count.set(Some(n + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { SystemAlloc.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 
@@ -54,11 +74,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation-side calls made while running `f`.
+/// Allocation-side calls made by the current thread while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ARMED_COUNT.with(|count| count.set(Some(0)));
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ARMED_COUNT.with(|count| count.replace(None)).unwrap_or(0)
 }
 
 const MEM_OPS: u64 = 30_000;
@@ -132,7 +152,7 @@ fn warm_event_loop_never_allocates() {
 /// The chunked replay front-end (`run_stream`) must uphold the same
 /// contract: its decode batch is owned by the `System` and reused across
 /// calls, so a warm campaign replay — SIMD prescan, per-chunk batch
-/// refills, set prefetches and all — performs zero heap allocations.
+/// refills and all — performs zero heap allocations.
 /// This is the path `paper all` drives for every simulation, with or
 /// without AVX2 (the batch reuse is mode-independent).
 #[test]
