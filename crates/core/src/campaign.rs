@@ -271,6 +271,16 @@ enum Job {
     Oracle { key: RunKey, baseline_key: Box<RunKey> },
 }
 
+impl Job {
+    /// Simulations the job performs.
+    fn simulations(&self) -> usize {
+        match self {
+            Job::Plain(_) => 1,
+            Job::Oracle { .. } => 2,
+        }
+    }
+}
+
 /// One completed memo entry produced by a worker.
 struct Completion {
     key: RunKey,
@@ -305,7 +315,10 @@ fn timing(key: &RunKey, kind: SimKind, wall: Duration, result: &RunResult) -> Ru
 /// factory (sharing the deterministic graph inputs), so the preloaded
 /// results — and therefore any tables rendered from them — are
 /// bit-identical for every `threads` value. With `progress` set, a
-/// `# campaign <done>/<total>` line is maintained on stderr.
+/// `# campaign <done>/<total> simulations` line is maintained on stderr.
+/// It counts simulations, not jobs: an oracle job is two (the recorded
+/// baseline and the oracle replay), so the total matches
+/// [`CampaignStats::simulations`].
 ///
 /// # Panics
 ///
@@ -337,7 +350,7 @@ pub fn execute(
         plan.plain.iter().filter(|key| !recorded_baselines.contains(*key)).cloned().map(Job::Plain),
     );
 
-    let total = jobs.len();
+    let total: usize = jobs.iter().map(Job::simulations).sum();
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let started = Instant::now();
@@ -397,9 +410,10 @@ pub fn execute(
                                 });
                             }
                         }
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                        let finished = done.fetch_add(job.simulations(), Ordering::Relaxed)
+                            + job.simulations();
                         if progress {
-                            eprint!("\r# campaign {finished}/{total} runs");
+                            eprint!("\r# campaign {finished}/{total} simulations");
                         }
                     }
                     (completions, timings, busy)

@@ -33,9 +33,9 @@ pub struct Hierarchy<C: LlcPolicy = DynLlcPolicy> {
     /// L3 / last-level cache (inclusive).
     pub llc: Cache,
     /// Precomputed cumulative latency of an access that terminates at
-    /// each level: `[L1D hit, L2 hit, LLC hit, memory]`. The flattened
-    /// miss pipeline indexes this table instead of accumulating per-level
-    /// latencies as it descends.
+    /// each level: `[L1D hit, L2 hit, LLC hit, memory]`. The access path
+    /// indexes this table instead of accumulating per-level latencies as
+    /// it descends.
     cum_latency: [u64; 4],
     policy: C,
     /// Cached [`LlcPolicy::is_null`]: `true` for the baseline no-op
@@ -95,31 +95,26 @@ impl<C: LlcPolicy> Hierarchy<C> {
     /// `is_demand` distinguishes program accesses from page-walker loads
     /// (both are cached; they are counted separately).
     ///
-    /// The walk is flattened into probe-then-commit form (DESIGN.md §16):
-    /// side-effect-free probes descend the levels until the first hit
-    /// classifies the access, then that outcome's commit helper replays
-    /// exactly the state transitions the nested per-level lookups used to
-    /// perform — counters, clocks, recency, hooks and fills in the
-    /// original order — and returns the precomputed cumulative latency.
+    /// Each level is looked up once, top down, until the first hit; the
+    /// latency comes from the precomputed cumulative table. An L1D hit
+    /// fires no policy hook (the LLC policy only sees accesses that reach
+    /// the LLC), and an L2 hit refills only the L1D.
     pub fn access(&mut self, pa: PhysAddr, _kind: AccessKind, pc: Pc, is_demand: bool) -> u64 {
         let block = pa.block();
-        if let Some(way) = self.l1d.probe(block) {
-            return self.commit_l1d_hit(block, way);
+        if self.l1d.lookup(block).is_some() {
+            return self.cum_latency[0];
         }
-        if let Some(way) = self.l2.probe(block) {
-            return self.commit_l2_hit(block, way);
+        if self.l2.lookup(block).is_some() {
+            self.l1d.fill(block, InsertPriority::Normal, 0);
+            return self.cum_latency[1];
         }
-        self.l1d.commit_miss();
-        self.l2.commit_miss();
-        let hit_way = self.llc.probe(block);
+        let hit_way = self.llc.lookup(block);
         self.commit_llc(block, hit_way, pc, is_demand)
     }
 
-    /// Commits an access that terminated at the LLC: the LLC's own
-    /// hit-or-miss bookkeeping, the policy hooks (which fire on every
-    /// access that reaches the LLC, hit or miss), and the return-path
-    /// fills — batched into one straight-line sequence. The caller has
-    /// already committed the L1D and L2 misses.
+    /// Finishes an access that the LLC lookup `hit_way` terminated: the
+    /// policy hooks (which fire on every access that reaches the LLC, hit
+    /// or miss) and the return-path fills, in one straight-line sequence.
     fn commit_llc(
         &mut self,
         block: BlockAddr,
@@ -127,10 +122,6 @@ impl<C: LlcPolicy> Hierarchy<C> {
         pc: Pc,
         is_demand: bool,
     ) -> u64 {
-        match hit_way {
-            Some(way) => self.llc.commit_hit(block, way),
-            None => self.llc.commit_miss(),
-        }
         if !self.policy_null {
             self.policy.on_lookup(block, hit_way.is_some());
             // Set-access hook (AIP-style interval predictors train on
@@ -177,27 +168,6 @@ impl<C: LlcPolicy> Hierarchy<C> {
         self.l2.fill(block, InsertPriority::Normal, 0);
         self.l1d.fill(block, InsertPriority::Normal, 0);
         self.cum_latency[3]
-    }
-
-    /// Commits an L1D hit, returning the access latency: no other level
-    /// is looked up, no fill happens, and no policy hook fires (the LLC
-    /// policy only sees accesses that reach the LLC).
-    #[inline]
-    fn commit_l1d_hit(&mut self, block: BlockAddr, way: usize) -> u64 {
-        self.l1d.commit_hit(block, way);
-        self.cum_latency[0]
-    }
-
-    /// Commits an access that missed the L1D and hit the L2, returning
-    /// the access latency: the L1D's miss bookkeeping, the L2's hit
-    /// bookkeeping, and the L1D return-path fill. The LLC and its policy
-    /// are never consulted.
-    #[inline]
-    fn commit_l2_hit(&mut self, block: BlockAddr, way: usize) -> u64 {
-        self.l1d.commit_miss();
-        self.l2.commit_hit(block, way);
-        self.l1d.fill(block, InsertPriority::Normal, 0);
-        self.cum_latency[1]
     }
 
     fn fill_llc(&mut self, block: BlockAddr, priority: InsertPriority, state: u32) {

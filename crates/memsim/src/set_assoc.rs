@@ -67,36 +67,6 @@ pub struct LineLife {
     pub hits: u64,
 }
 
-/// Sentinel for [`PendingHit::idx`]: no hit-promotion is buffered.
-const NO_PENDING: usize = usize::MAX;
-
-/// A buffered hit-promotion not yet applied to the metadata columns.
-///
-/// The hit paths advance the scalar clocks eagerly but defer the column
-/// stores (lifetime stats, LRU stamp / SRRIP promotion) into this
-/// one-entry buffer; consecutive hits to the same line coalesce into a
-/// single eventual store. The buffer is applied ([`SetAssoc`]'s
-/// `flush_pending`) before any code path reads or writes the metadata
-/// columns, and merged on the fly by the `&self` readers — so the
-/// deferral is unobservable (DESIGN.md §16).
-#[derive(Clone, Copy, Debug)]
-struct PendingHit {
-    /// Flat column index of the hit line, or [`NO_PENDING`].
-    idx: usize,
-    /// Coalesced hit count.
-    hits: u64,
-    /// Lookup-clock value of the most recent coalesced hit.
-    last_seq: u64,
-    /// Recency-clock value of the most recent coalesced hit.
-    last_tick: u64,
-}
-
-impl PendingHit {
-    const fn empty() -> Self {
-        PendingHit { idx: NO_PENDING, hits: 0, last_seq: 0, last_tick: 0 }
-    }
-}
-
 /// Contents evicted by an insertion.
 #[derive(Clone, Debug)]
 pub struct Evicted<P> {
@@ -130,8 +100,6 @@ pub struct SetAssoc<P> {
     /// Monotonic lookup sequence (advanced on every lookup), used for
     /// lifetime statistics.
     seq: u64,
-    /// Lazily-applied hit-promotion buffer (see [`PendingHit`]).
-    pending: PendingHit,
 }
 
 impl<P: Default> SetAssoc<P> {
@@ -156,7 +124,6 @@ impl<P: Default> SetAssoc<P> {
             scratch: Vec::with_capacity(ways),
             tick: 0,
             seq: 0,
-            pending: PendingHit::empty(),
         }
     }
 }
@@ -202,52 +169,26 @@ impl<P> SetAssoc<P> {
         (set, set * self.ways + way)
     }
 
-    /// Records a hit on flat index `idx` in the lazy promotion buffer.
-    /// Consecutive hits to the same line coalesce; a hit elsewhere first
-    /// applies whatever was buffered. Must run *after* the hit advanced
-    /// `seq` and `tick` (the buffer captures their current values).
+    /// Records a hit on flat index `idx`: advances the recency clock and
+    /// stores the line's lifetime stats and its LRU stamp or SRRIP
+    /// promotion in place. Must run *after* the lookup advanced `seq`.
     #[inline]
     fn note_hit(&mut self, idx: usize) {
-        if self.pending.idx == idx {
-            self.pending.hits += 1;
-            self.pending.last_seq = self.seq;
-            self.pending.last_tick = self.tick;
-        } else {
-            self.flush_pending();
-            self.pending = PendingHit { idx, hits: 1, last_seq: self.seq, last_tick: self.tick };
-        }
-    }
-
-    /// Applies the buffered hit-promotion to the metadata columns.
-    ///
-    /// Equivalent to having performed the eager per-hit stores: the
-    /// intermediate values of a coalesced run are overwritten by its
-    /// last hit (`last_hit_seq`, LRU stamp) or idempotent (SRRIP
-    /// promotion to 0), and `hits` accumulates — so applying once at the
-    /// first metadata read gives the exact eager column state. Called
-    /// before every path that reads or writes stamps/rrpvs/lives.
-    #[inline]
-    fn flush_pending(&mut self) {
-        let idx = self.pending.idx;
-        if idx == NO_PENDING {
-            return;
-        }
-        invariant!(idx < self.cols.lives.len(), "pending index came from an in-bounds hit");
+        self.tick += 1;
+        invariant!(idx < self.cols.lives.len(), "the hit index is set * ways + way");
         let life = &mut self.cols.lives[idx];
-        life.hits += self.pending.hits;
-        life.last_hit_seq = self.pending.last_seq;
+        life.hits += 1;
+        life.last_hit_seq = self.seq;
         match self.replacement {
-            ReplacementKind::Lru => self.cols.stamps[idx] = self.pending.last_tick,
+            ReplacementKind::Lru => self.cols.stamps[idx] = self.tick,
             ReplacementKind::Srrip => self.cols.rrpvs[idx] = 0,
             ReplacementKind::Fifo => {}
         }
-        self.pending.idx = NO_PENDING;
     }
 
     /// Looks up `tag` in its set. On a hit, advances the lookup clock,
-    /// updates recency and lifetime stats (buffered lazily, see
-    /// [`PendingHit`]), and returns the way index. On a miss, only the
-    /// lookup clock advances.
+    /// updates recency and lifetime stats, and returns the way index. On a
+    /// miss, only the lookup clock advances.
     #[inline]
     pub fn lookup(&mut self, addr: u64, tag: u64) -> Option<usize> {
         self.seq += 1;
@@ -259,7 +200,6 @@ impl<P> SetAssoc<P> {
         }
         // First-match-wins, exactly like the previous linear scan.
         let way = hit.trailing_zeros() as usize;
-        self.tick += 1;
         self.note_hit(base + way);
         Some(way)
     }
@@ -279,36 +219,9 @@ impl<P> SetAssoc<P> {
         }
         let way = hit.trailing_zeros() as usize;
         let idx = base + way;
-        self.tick += 1;
         self.note_hit(idx);
         invariant!(idx < self.cols.payloads.len(), "set * ways + way stays inside the columns");
         Some((way, &self.cols.payloads[idx]))
-    }
-
-    /// Commits a hit previously found by [`peek`](Self::peek), applying
-    /// exactly the state transitions a hitting [`lookup`](Self::lookup)
-    /// performs: lookup clock, recency tick, lifetime stats, and the
-    /// replacement-policy stamp. This is the second half of the
-    /// probe-then-commit split — classification peeks without perturbing
-    /// state, and only a classified hit commits.
-    ///
-    /// `way` must be the way a `peek` of the same `addr`/tag returned,
-    /// with the array unmodified in between.
-    #[inline]
-    pub fn commit_hit(&mut self, addr: u64, way: usize) {
-        self.seq += 1;
-        let (_, idx) = self.locate(addr, way);
-        self.tick += 1;
-        invariant!(idx < self.cols.lives.len(), "locate() stays inside the columns");
-        self.note_hit(idx);
-    }
-
-    /// Commits a miss previously established by [`peek`](Self::peek):
-    /// only the lookup clock advances, exactly like a missing
-    /// [`lookup`](Self::lookup).
-    #[inline]
-    pub fn commit_miss(&mut self) {
-        self.seq += 1;
     }
 
     /// Probes for `tag` without advancing any clock or updating recency
@@ -341,19 +254,12 @@ impl<P> SetAssoc<P> {
         &mut self.cols.payloads[idx]
     }
 
-    /// Lifetime statistics of a way in the set that `addr` maps to,
-    /// with any buffered hit-promotion merged in (`&self` readers merge
-    /// instead of flushing).
+    /// Lifetime statistics of a way in the set that `addr` maps to.
     #[inline]
     pub fn life_of(&self, addr: u64, way: usize) -> LineLife {
         let (_, idx) = self.locate(addr, way);
         invariant!(idx < self.cols.lives.len(), "locate() stays inside the columns");
-        let mut life = self.cols.lives[idx];
-        if self.pending.idx == idx {
-            life.hits += self.pending.hits;
-            life.last_hit_seq = self.pending.last_seq;
-        }
-        life
+        self.cols.lives[idx]
     }
 
     /// The way the base replacement policy would evict from the set `addr`
@@ -361,7 +267,6 @@ impl<P> SetAssoc<P> {
     /// effect (that *is* the SRRIP victim-search algorithm).
     #[inline]
     pub fn victim_way(&mut self, addr: u64) -> usize {
-        self.flush_pending();
         let set = self.set_of(addr);
         let base = set * self.ways;
         // Prefer the first invalid way.
@@ -407,7 +312,6 @@ impl<P> SetAssoc<P> {
         priority: InsertPriority,
     ) -> Option<Evicted<P>> {
         assert!(way < self.ways, "way {way} out of range (ways = {})", self.ways);
-        self.flush_pending();
         self.tick += 1;
         let tick = self.tick;
         let seq = self.seq;
@@ -466,7 +370,6 @@ impl<P> SetAssoc<P> {
         P: Default,
     {
         let way = self.peek(addr, tag)?;
-        self.flush_pending();
         let set = self.set_of(addr);
         invariant!(way < self.ways, "peek returned way {way} beyond {}-way set", self.ways);
         let idx = set * self.ways + way;
@@ -503,7 +406,6 @@ impl<P> SetAssoc<P> {
     where
         P: HasPolicyState,
     {
-        self.flush_pending();
         let set = self.set_of(addr);
         let base = set * self.ways;
         self.scratch.clear();
@@ -533,10 +435,9 @@ impl<P> SetAssoc<P> {
     }
 
     /// Iterates over all valid lines (used by the deadness sampler's final
-    /// flush and by tests), with any buffered hit-promotion merged into
-    /// the yielded lifetime stats.
+    /// flush and by tests).
     pub fn iter_valid(&self) -> impl Iterator<Item = LineRef<'_, P>> {
-        self.cols.iter_valid_pending(self.pending.idx, self.pending.hits, self.pending.last_seq)
+        self.cols.iter_valid()
     }
 
     /// Number of currently valid lines.
@@ -702,36 +603,6 @@ mod tests {
         assert_eq!(seen, (false, true, 2));
         assert_eq!(s.payload(0, 0).0, 15, "hook state must be written back");
         assert_eq!(s.payload(0, 1).0, 16);
-    }
-
-    /// peek + commit_hit / commit_miss must be indistinguishable from
-    /// lookup, for every replacement kind, across a mixed hit/miss
-    /// sequence — the contract the probe-then-commit miss path rests on.
-    #[test]
-    fn probe_then_commit_matches_lookup() {
-        for kind in [ReplacementKind::Lru, ReplacementKind::Srrip, ReplacementKind::Fifo] {
-            let mut via_lookup = sa(4, 2, kind);
-            let mut via_commit = sa(4, 2, kind);
-            for s in [&mut via_lookup, &mut via_commit] {
-                s.fill(1, 1, 10, InsertPriority::Normal);
-                s.fill(1, 5, 11, InsertPriority::Normal);
-                s.fill(2, 2, 12, InsertPriority::Normal);
-            }
-            for addr in [1u64, 5, 2, 3, 1, 1, 5, 9, 2] {
-                let want = via_lookup.lookup(addr, addr);
-                match via_commit.peek(addr, addr) {
-                    Some(way) => via_commit.commit_hit(addr, way),
-                    None => via_commit.commit_miss(),
-                }
-                assert_eq!(via_commit.peek(addr, addr), want, "{kind:?} addr {addr}");
-            }
-            assert_eq!(via_commit.seq(), via_lookup.seq(), "{kind:?} lookup clocks");
-            // Same replacement order afterwards: evictions must agree.
-            let a = via_lookup.fill(1, 7, 0, InsertPriority::Normal).expect("set full");
-            let b = via_commit.fill(1, 7, 0, InsertPriority::Normal).expect("set full");
-            assert_eq!(a.tag, b.tag, "{kind:?} victim choice");
-            assert_eq!(a.life, b.life, "{kind:?} evicted lifetime stats");
-        }
     }
 
     #[test]

@@ -30,11 +30,7 @@
 //! [`SoaColumns::new`].
 
 use crate::set_assoc::LineLife;
-use dpc_types::invariant;
-
-/// Maximum associativity representable by the per-set `u64` validity
-/// bitmask.
-pub const MAX_WAYS: usize = 64;
+use dpc_types::{invariant, MAX_WAYS};
 
 /// The dense parallel columns of a set-associative array.
 ///
@@ -98,28 +94,13 @@ impl<P> SoaColumns<P> {
         crate::simd::match_mask(&self.tags[base..base + self.ways], tag) & self.valid[set]
     }
 
-    /// Iterates over all valid lines in storage order, with the owning
-    /// array's lazily buffered hit-promotion merged in: the line at flat index
-    /// `pending_idx` is yielded with `pending_hits` extra hits and
-    /// `pending_seq` as its last-hit time, exactly the state eager
-    /// updates would have left in the columns. Pass `usize::MAX` (never
-    /// a valid index) when nothing is buffered.
-    pub(crate) fn iter_valid_pending(
-        &self,
-        pending_idx: usize,
-        pending_hits: u64,
-        pending_seq: u64,
-    ) -> impl Iterator<Item = LineRef<'_, P>> {
+    /// Iterates over all valid lines in storage order.
+    pub(crate) fn iter_valid(&self) -> impl Iterator<Item = LineRef<'_, P>> {
         self.valid.iter().enumerate().flat_map(move |(set, &mask)| {
             let base = set * self.ways;
             BitIter(mask).map(move |way| {
                 let idx = base + way;
-                let mut life = self.lives[idx];
-                if idx == pending_idx {
-                    life.hits += pending_hits;
-                    life.last_hit_seq = pending_seq;
-                }
-                LineRef { tag: self.tags[idx], life, payload: &self.payloads[idx] }
+                LineRef { tag: self.tags[idx], life: self.lives[idx], payload: &self.payloads[idx] }
             })
         })
     }
@@ -208,22 +189,9 @@ mod tests {
         cols.tags[2] = 22; // set 1, way 0
         cols.valid[0] = 0b10;
         cols.valid[1] = 0b01;
-        let tags: Vec<u64> = cols.iter_valid_pending(usize::MAX, 0, 0).map(|l| l.tag()).collect();
+        let tags: Vec<u64> = cols.iter_valid().map(|l| l.tag()).collect();
         assert_eq!(tags, vec![11, 22]);
         assert_eq!(cols.valid_count(), 2);
-    }
-
-    #[test]
-    fn iter_valid_pending_merges_the_buffered_promotion() {
-        let mut cols: SoaColumns<u32> = SoaColumns::new(1, 2, 0);
-        cols.valid[0] = 0b11;
-        cols.lives[0] = LineLife { fill_seq: 1, last_hit_seq: 1, hits: 0 };
-        cols.lives[1] = LineLife { fill_seq: 2, last_hit_seq: 2, hits: 5 };
-        let lives: Vec<LineLife> = cols.iter_valid_pending(1, 3, 9).map(|l| l.life()).collect();
-        assert_eq!(lives[0], cols.lives[0], "unbuffered line is yielded verbatim");
-        assert_eq!(lives[1], LineLife { fill_seq: 2, last_hit_seq: 9, hits: 8 });
-        // The columns themselves stay untouched: merge, not flush.
-        assert_eq!(cols.lives[1].hits, 5);
     }
 
     #[test]

@@ -66,22 +66,6 @@ enum Side {
     Data,
 }
 
-/// Classification of a unified-LLT hit, produced side-effect-free by
-/// [`System::probe_llt`] and replayed by [`System::commit_llt_hit`] — the
-/// probe-then-commit split of the translation path's second level.
-#[derive(Clone, Copy, Debug)]
-struct LltProbe {
-    /// Page size whose key hit.
-    size: PageSize,
-    /// The size-tagged LLT key that hit.
-    key: Vpn,
-    /// Way of the hit.
-    way: usize,
-    /// How many smaller sizes were probed (and missed) first; the commit
-    /// replays one lookup clock per missing probe.
-    missed_probes: usize,
-}
-
 /// The simulated machine, generic over its two content-management
 /// policies.
 ///
@@ -386,48 +370,35 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         Pfn::new((unit_pfn << size.unit_shift()) | size.frame_offset(vpn))
     }
 
-    /// Side-effect-free unified-LLT probe: each enabled size peeks its own
-    /// key, smallest first, without touching clocks, counters, or policy
-    /// hooks — the classification half of the translation path's second
-    /// level. [`System::commit_llt_hit`] replays the state transitions.
-    fn probe_llt(&self, vpn: Vpn) -> Option<LltProbe> {
-        for (missed_probes, &size) in self.llt_sizes.iter().enumerate() {
-            let key = self.llt_key(size, vpn);
-            if let Some(way) = self.llt.array().peek(key.raw(), key.raw()) {
-                return Some(LltProbe { size, key, way, missed_probes });
-            }
-        }
-        None
-    }
-
-    /// Commits a [`probe_llt`](System::probe_llt) hit exactly as the
-    /// pre-split lookup loop did: the group counters, one lookup clock per
-    /// smaller size probed first, the hit's recency/lifetime update, the
-    /// policy hooks in their original order, and the L1 refill.
-    fn commit_llt_hit(&mut self, vpn: Vpn, probe: &LltProbe, pc: Pc, side: Side) -> Pfn {
-        self.llt.stats.lookups += 1;
-        for _ in 0..probe.missed_probes {
-            self.llt.array_mut().commit_miss();
-        }
-        self.llt.array_mut().commit_hit(probe.key.raw(), probe.way);
+    /// Finishes a unified-LLT hit of `key` (the `size` key of `vpn`) in
+    /// `way`: the hit counter, the policy hooks, and the L1 refill.
+    fn llt_hit(
+        &mut self,
+        vpn: Vpn,
+        size: PageSize,
+        key: Vpn,
+        way: usize,
+        pc: Pc,
+        side: Side,
+    ) -> Pfn {
         self.llt.stats.hits += 1;
         if !self.llt_null {
-            self.llt_policy.on_lookup(probe.key, true);
+            self.llt_policy.on_lookup(key, true);
             // Policies that don't observe set views skip view construction.
             if self.llt_policy.uses_set_views() {
                 let policy = &mut self.llt_policy;
-                self.llt.array_mut().with_set_views(probe.key.raw(), Some(probe.way), |views| {
-                    policy.on_set_access(views);
-                });
+                self.llt
+                    .array_mut()
+                    .with_set_views(key.raw(), Some(way), |views| policy.on_set_access(views));
             }
         }
-        let entry = self.llt.array_mut().payload_mut(probe.key.raw(), probe.way);
+        let entry = self.llt.array_mut().payload_mut(key.raw(), way);
         let unit_pfn = entry.pfn;
         if !self.llt_null {
-            self.llt_policy.on_hit(probe.key, &mut entry.state);
+            self.llt_policy.on_hit(key, &mut entry.state);
         }
-        let pfn = Self::compose_pfn(probe.size, unit_pfn, vpn);
-        self.fill_l1(side, probe.size, vpn, pfn, pc);
+        let pfn = Self::compose_pfn(size, unit_pfn, vpn);
+        self.fill_l1(side, size, vpn, pfn, pc);
         pfn
     }
 
@@ -445,17 +416,15 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
 
         // --- LLT lookup with policy hooks (all no-ops for the baseline,
         // so `llt_null` skips the dynamic dispatch without changing
-        // behavior). The unified LLT holds every size; probe-then-commit
-        // (the probe classifies side-effect-free, the commit replays the
-        // per-size lookup clocks, counters, and hooks in the pre-split
-        // order). ---
-        if let Some(probe) = self.probe_llt(vpn) {
-            let pfn = self.commit_llt_hit(vpn, &probe, pc, side);
-            return (pfn, latency);
-        }
+        // behavior). The unified LLT holds every size: one counted lookup
+        // looks up each size's key, smallest first, until one hits. ---
         self.llt.stats.lookups += 1;
-        for _ in 0..self.llt_sizes.len() {
-            self.llt.array_mut().commit_miss();
+        for &size in self.llt_sizes {
+            let key = self.llt_key(size, vpn);
+            if let Some(way) = self.llt.array_mut().lookup(key.raw(), key.raw()) {
+                let pfn = self.llt_hit(vpn, size, key, way, pc, side);
+                return (pfn, latency);
+            }
         }
         self.llt.stats.misses += 1;
         // Policy hooks see the key the page would occupy at its mapped
@@ -1006,5 +975,11 @@ mod tests {
         let err = System::new(config).unwrap_err();
         assert!(matches!(err, SystemError::InvalidConfig(_)));
         assert!(err.to_string().contains("l2_tlb"));
+        // Over-wide structures are rejected too, not a panic when the
+        // set-associative arrays are built.
+        let mut config = SystemConfig::paper_baseline();
+        config.pwc.entries = [4, 8, 128];
+        let err = System::new(config).unwrap_err();
+        assert!(matches!(err, SystemError::InvalidConfig(ConfigError::TooManyWays { .. })));
     }
 }

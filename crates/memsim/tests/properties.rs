@@ -98,7 +98,7 @@ proptest! {
         for &vpn in &vpns {
             let path = pt.translate(Vpn::new(vpn));
             pwc.fill(Vpn::new(vpn), &path.node_pfns);
-            let probe = pwc.probe(Vpn::new(vpn));
+            let probe = pwc.lookup_from(Vpn::new(vpn), 0);
             let level = probe.hit_level.expect("just-filled entry must hit");
             prop_assert_eq!(probe.resume_node, path.node_pfns[level]);
         }

@@ -9,6 +9,12 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
+/// Maximum associativity the simulator's set-associative arrays support:
+/// each set's validity is one `u64` bitmask. A fully-associative
+/// structure (a PWC level) is one set, so its entry count is its
+/// associativity.
+pub const MAX_WAYS: usize = 64;
+
 /// Replacement policy selector for TLBs and caches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ReplacementKind {
@@ -47,12 +53,9 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Number of sets implied by the capacity, associativity and the global
-    /// 64-byte block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is not validated (non-power-of-two set
-    /// count); call [`SystemConfig::validate`] first.
+    /// 64-byte block size. The count need not be a power of two (sets are
+    /// indexed by modulo); it is exact only for a configuration that
+    /// passes [`SystemConfig::validate`].
     pub fn sets(&self) -> u64 {
         self.size_bytes / (u64::from(self.ways) * crate::BLOCK_SIZE)
     }
@@ -245,8 +248,10 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] describing the first violated invariant:
-    /// zero sizes or associativities that do not divide entry counts.
+    /// zero sizes, associativities that do not divide entry counts, or
+    /// more than [`MAX_WAYS`] ways.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let too_wide = |ways: u32| ways as usize > MAX_WAYS;
         for (name, tlb) in
             [("l1_itlb", &self.l1_itlb), ("l1_dtlb", &self.l1_dtlb), ("l2_tlb", &self.l2_tlb)]
         {
@@ -255,6 +260,9 @@ impl SystemConfig {
             }
             if tlb.entries % tlb.ways != 0 {
                 return Err(ConfigError::WaysDontDivide { structure: name });
+            }
+            if too_wide(tlb.ways) {
+                return Err(ConfigError::TooManyWays { structure: name });
             }
         }
         for (name, cache) in [("l1d", &self.l1d), ("l2", &self.l2), ("llc", &self.llc)] {
@@ -265,12 +273,18 @@ impl SystemConfig {
             if cache.size_bytes % row != 0 {
                 return Err(ConfigError::WaysDontDivide { structure: name });
             }
+            if too_wide(cache.ways) {
+                return Err(ConfigError::TooManyWays { structure: name });
+            }
         }
         if self.core.width == 0 || self.core.rob_size == 0 || self.core.mem_slots == 0 {
             return Err(ConfigError::Zero { structure: "core" });
         }
         if self.pwc.entries.contains(&0) {
             return Err(ConfigError::Zero { structure: "pwc" });
+        }
+        if self.pwc.entries.into_iter().any(too_wide) {
+            return Err(ConfigError::TooManyWays { structure: "pwc" });
         }
         if let AllocPolicy::Promote2M { threshold } = self.page_policy {
             // A region holds 512 base pages; a zero threshold would
@@ -313,6 +327,12 @@ pub enum ConfigError {
         /// Which structure was misconfigured.
         structure: &'static str,
     },
+    /// More ways than the [`MAX_WAYS`]-bit per-set validity mask holds
+    /// (for a fully-associative PWC level, more entries).
+    TooManyWays {
+        /// Which structure was misconfigured.
+        structure: &'static str,
+    },
     /// A 2 MB promotion threshold beyond the 512 base pages of a region
     /// can never fire.
     PromotionThresholdTooLarge {
@@ -329,6 +349,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::WaysDontDivide { structure } => {
                 write!(f, "{structure}: associativity must divide the capacity")
+            }
+            ConfigError::TooManyWays { structure } => {
+                write!(f, "{structure}: associativity exceeds the {MAX_WAYS}-way limit")
             }
             ConfigError::PromotionThresholdTooLarge { threshold } => {
                 write!(f, "page_policy: promotion threshold {threshold} exceeds the 512 base pages of a 2 MB region")
@@ -443,5 +466,22 @@ mod tests {
 
         let err = ConfigError::WaysDontDivide { structure: "l1d" };
         assert!(err.to_string().contains("l1d"));
+
+        // Each set's validity is one u64 bitmask: more than MAX_WAYS ways
+        // (PWC levels are fully associative) must not reach the arrays.
+        let mut c = SystemConfig::paper_baseline();
+        c.pwc.entries = [4, 8, 128];
+        assert_eq!(c.validate(), Err(ConfigError::TooManyWays { structure: "pwc" }));
+        c.pwc.entries = [4, 8, MAX_WAYS as u32];
+        c.validate().unwrap();
+
+        let mut c = SystemConfig::paper_baseline();
+        c.llc.ways = 128;
+        assert_eq!(c.validate(), Err(ConfigError::TooManyWays { structure: "llc" }));
+
+        let mut c = SystemConfig::paper_baseline();
+        c.l2_tlb.ways = 128;
+        assert_eq!(c.validate(), Err(ConfigError::TooManyWays { structure: "l2_tlb" }));
+        assert!(c.validate().unwrap_err().to_string().contains("64-way"));
     }
 }

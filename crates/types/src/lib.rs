@@ -43,7 +43,7 @@ pub mod workload;
 pub use addr::{AccessKind, BlockAddr, Pc, Pfn, PhysAddr, VirtAddr, Vpn};
 pub use config::{
     CacheConfig, ConfigError, CoreConfig, PwcConfig, ReplacementKind, SystemConfig, TlbConfig,
-    TlbFillPolicy,
+    TlbFillPolicy, MAX_WAYS,
 };
 pub use counter::SatCounter;
 pub use page::{AllocPolicy, PageSize};

@@ -10,14 +10,13 @@
 //! if any bench shared with the baseline got more than 15% slower
 //! (median vs median).
 //!
-//! Four groups gate: `simulator` (end-to-end throughput of the
+//! Three groups gate: `simulator` (end-to-end throughput of the
 //! monomorphized event loop), `predictor_phases` (pHIST/bHIST lookup,
 //! shadow-table hit, and PFQ probe micro-phases, which localise a
-//! simulator regression to the predictor structure that caused it),
+//! simulator regression to the predictor structure that caused it), and
 //! `simd_phases` (the vectorized kernels and their scalar twins, so a
-//! regression in either the AVX2 or the `DPC_SIMD=off` path trips CI),
-//! and `misspath_phases` (the lazy replacement-metadata apply of
-//! DESIGN.md §16). The `structures` micro-benches stay ungated: their
+//! regression in either the AVX2 or the `DPC_SIMD=off` path trips CI).
+//! The `structures` micro-benches stay ungated: their
 //! one-shot samples are too noisy to act as a tripwire. Like the lint
 //! pass, everything here is hand-rolled (no serde) so the workspace
 //! stays dependency-free on an offline toolchain.
@@ -43,7 +42,6 @@ pub const GROUPS: &[(&str, &str)] = &[
     ("simulator", "cargo bench --bench simulator"),
     ("predictor_phases", "cargo bench --bench predictor_phases"),
     ("simd_phases", "cargo bench --bench simd_phases"),
-    ("misspath_phases", "cargo bench --bench misspath_phases"),
 ];
 
 /// Report file name at the workspace root.

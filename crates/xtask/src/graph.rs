@@ -3,9 +3,8 @@
 //! Built from [`crate::items`]: nodes are `fn` definitions, edges are the
 //! conservatively-resolved call sites inside each body. The graph is
 //! rooted at the replay entry points the warm loop runs through —
-//! `System::run_stream`/`step` (with the translation path's
-//! `probe_llt`/`commit_llt_hit`), `Hierarchy::access`,
-//! `SetAssoc::locate`/`fill`/`flush_pending`,
+//! `System::run_stream`/`step` (which reach the translation path),
+//! `Hierarchy::access`, `SetAssoc::locate`/`fill`,
 //! `EventStream::decode_chunk` — plus every method of a `LltPolicy`/
 //! `LlcPolicy` impl (and the trait default bodies), since policy hooks
 //! fire once per simulated memory operation. Everything reachable from a
@@ -33,12 +32,9 @@ use std::ops::Range;
 pub const HOT_ROOTS: &[(&str, &str)] = &[
     ("System", "run_stream"),
     ("System", "step"),
-    ("System", "probe_llt"),
-    ("System", "commit_llt_hit"),
     ("Hierarchy", "access"),
     ("SetAssoc", "locate"),
     ("SetAssoc", "fill"),
-    ("SetAssoc", "flush_pending"),
     ("EventStream", "decode_chunk"),
 ];
 
