@@ -100,9 +100,9 @@ fn assert_event_loop_allocation_free<L: LltPolicy, C: LlcPolicy>(
     // Push deadness sampling beyond the horizon: `take_sample` grows a
     // sample vector by design and is not a per-event cost.
     sys.set_sample_interval(1 << 60);
-    // Two warm-up passes: the first maps pages and sizes every hash map /
-    // vector, the second catches capacity growth triggered by evictions
-    // that only start once the arrays are full.
+    // Two warm-up passes: the first maps pages and sizes every vector,
+    // the second catches capacity growth triggered by evictions that
+    // only start once the arrays are full.
     replay(&mut sys, stream);
     replay(&mut sys, stream);
     let during = allocations_during(|| replay(&mut sys, stream));

@@ -28,9 +28,7 @@
 //!   translates every address exactly as before — stale 4 KB TLB entries
 //!   stay coherent and promotion simply shortens future walks.
 
-use dpc_types::hash::FastBuildHasher;
 use dpc_types::{AllocPolicy, PageSize, Pfn, PhysAddr, Vpn};
-use std::collections::HashMap;
 
 /// Entries per page-table node (512 × 8 B = one 4 KiB page).
 pub const NODE_ENTRIES: usize = 512;
@@ -41,14 +39,16 @@ const SLOT_PRESENT: u64 = 1;
 /// pointer to a child node.
 const SLOT_HUGE: u64 = 2;
 
+/// A slot holding `value`: a child's arena index in an interior entry,
+/// a frame number in a leaf.
 #[inline]
-const fn encode_slot(pfn: Pfn, huge: bool) -> u64 {
-    (pfn.raw() << 2) | SLOT_PRESENT | if huge { SLOT_HUGE } else { 0 }
+const fn encode_slot(value: u64, huge: bool) -> u64 {
+    (value << 2) | SLOT_PRESENT | if huge { SLOT_HUGE } else { 0 }
 }
 
 #[inline]
-const fn slot_pfn(slot: u64) -> Pfn {
-    Pfn::new(slot >> 2)
+const fn slot_value(slot: u64) -> u64 {
+    slot >> 2
 }
 
 #[inline]
@@ -64,6 +64,12 @@ const fn slot_is_huge(slot: u64) -> bool {
 /// split by high bits: singleton 4 KB frames keep bit 33 clear, while
 /// aligned, physically contiguous 2 MB / 1 GB regions live above it, so
 /// regions can be handed out without colliding with scattered singletons.
+///
+/// The scatter is invertible, so the allocator also maps a frame back to
+/// its dense allocation number ([`FrameAllocator::singleton_index`],
+/// [`FrameAllocator::region_index`], [`FrameAllocator::carved_index`]):
+/// tables indexed by those numbers grow with the frames handed out, not
+/// with the 2^34-frame space.
 #[derive(Clone, Debug)]
 pub struct FrameAllocator {
     next: u64,
@@ -76,14 +82,49 @@ pub struct FrameAllocator {
 /// the multiplier is odd, hence invertible modulo every power of two.
 const FRAME_SPACE_BITS: u32 = 34;
 const FRAME_MULT: u64 = 0x9E37_79B9_7F4A_7C15 | 1;
+/// The inverse of [`FRAME_MULT`] modulo 2^64, and so modulo every
+/// smaller power of two: it undoes the scatter at every width.
+const FRAME_MULT_INV: u64 = mul_inverse(FRAME_MULT);
+const _: () = assert!(FRAME_MULT.wrapping_mul(FRAME_MULT_INV) == 1);
 /// Partitioned mode: singletons scatter below bit 33.
 const SINGLETON_BITS: u32 = 33;
 /// Partitioned mode: 2 MB regions (512 frames, 9 offset bits) scatter
 /// their base over 23 bits at `1 << 33`.
 const REGION_2M_BITS: u32 = 23;
+const REGION_2M_TAG: u64 = 1 << 33;
 /// Partitioned mode: 1 GB regions (2^18 frames) scatter their base over
 /// 14 bits at `(1 << 33) | (1 << 32)`.
 const REGION_1G_BITS: u32 = 14;
+const REGION_1G_TAG: u64 = (1 << 33) | (1 << 32);
+
+/// Multiplicative inverse of odd `a` modulo 2^64 by Newton's iteration:
+/// `x = a` is correct to 3 low bits, and each step doubles that.
+const fn mul_inverse(a: u64) -> u64 {
+    let mut x = a;
+    let mut step = 0;
+    while step < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+        step += 1;
+    }
+    x
+}
+
+/// Scatters allocation number `n` over `bits` bits.
+#[inline]
+const fn scatter(n: u64, bits: u32) -> u64 {
+    n.wrapping_mul(FRAME_MULT) & ((1 << bits) - 1)
+}
+
+/// Recovers the allocation number below `next` whose [`scatter`] over
+/// `bits` bits is `scattered`.
+#[inline]
+fn unscatter(scattered: u64, bits: u32, next: u64) -> Option<u64> {
+    if scattered >> bits != 0 {
+        return None;
+    }
+    let n = scattered.wrapping_mul(FRAME_MULT_INV) & ((1 << bits) - 1);
+    (1..next).contains(&n).then_some(n)
+}
 
 impl FrameAllocator {
     /// Creates an allocator in the legacy single-grain mode: the exact
@@ -98,6 +139,14 @@ impl FrameAllocator {
         FrameAllocator { next: 1, next_2m: 1, next_1g: 1, partitioned: true }
     }
 
+    fn singleton_bits(&self) -> u32 {
+        if self.partitioned {
+            SINGLETON_BITS
+        } else {
+            FRAME_SPACE_BITS
+        }
+    }
+
     /// Allocates a fresh, never-before-returned 4 KB frame.
     ///
     /// # Panics
@@ -105,11 +154,11 @@ impl FrameAllocator {
     /// Panics if the frame space is exhausted (far beyond any simulated
     /// footprint).
     pub fn alloc(&mut self) -> Pfn {
-        let bits = if self.partitioned { SINGLETON_BITS } else { FRAME_SPACE_BITS };
+        let bits = self.singleton_bits();
         assert!(self.next < (1 << bits), "physical frame space exhausted");
-        let scattered = self.next.wrapping_mul(FRAME_MULT) & ((1 << bits) - 1);
+        let frame = scatter(self.next, bits);
         self.next += 1;
-        Pfn::new(scattered)
+        Pfn::new(frame)
     }
 
     /// Allocates an aligned, physically contiguous region of 4 KB frames
@@ -127,15 +176,15 @@ impl FrameAllocator {
             PageSize::Size4K => panic!("4 KB frames come from alloc(), not alloc_region()"),
             PageSize::Size2M => {
                 assert!(self.next_2m < (1 << REGION_2M_BITS), "2 MB region space exhausted");
-                let scattered = self.next_2m.wrapping_mul(FRAME_MULT) & ((1 << REGION_2M_BITS) - 1);
+                let scattered = scatter(self.next_2m, REGION_2M_BITS);
                 self.next_2m += 1;
-                (1 << 33) | (scattered << PageSize::Size2M.unit_shift())
+                REGION_2M_TAG | (scattered << PageSize::Size2M.unit_shift())
             }
             PageSize::Size1G => {
                 assert!(self.next_1g < (1 << REGION_1G_BITS), "1 GB region space exhausted");
-                let scattered = self.next_1g.wrapping_mul(FRAME_MULT) & ((1 << REGION_1G_BITS) - 1);
+                let scattered = scatter(self.next_1g, REGION_1G_BITS);
                 self.next_1g += 1;
-                (1 << 33) | (1 << 32) | (scattered << PageSize::Size1G.unit_shift())
+                REGION_1G_TAG | (scattered << PageSize::Size1G.unit_shift())
             }
         };
         Pfn::new(base)
@@ -144,6 +193,42 @@ impl FrameAllocator {
     /// Number of singleton frames handed out so far.
     pub fn allocated(&self) -> u64 {
         self.next - 1
+    }
+
+    /// The allocation number `k` of singleton `frame` — it came from the
+    /// `k`-th [`FrameAllocator::alloc`] call, counting from 1 — or `None`
+    /// if this allocator never handed it out as a singleton.
+    #[inline]
+    pub fn singleton_index(&self, frame: Pfn) -> Option<u64> {
+        unscatter(frame.raw(), self.singleton_bits(), self.next)
+    }
+
+    /// The allocation number `r` of the `size` region holding `frame`
+    /// (its base or any frame inside) — the region came from the `r`-th
+    /// [`FrameAllocator::alloc_region`] call of that size, counting from
+    /// 1 — or `None` if `frame` lies in no region of `size` handed out.
+    #[inline]
+    pub fn region_index(&self, size: PageSize, frame: Pfn) -> Option<u64> {
+        let (tag, bits, next) = match size {
+            PageSize::Size4K => return None,
+            PageSize::Size2M => (REGION_2M_TAG, REGION_2M_BITS, self.next_2m),
+            PageSize::Size1G => (REGION_1G_TAG, REGION_1G_BITS, self.next_1g),
+        };
+        if !self.partitioned {
+            return None;
+        }
+        unscatter((frame.raw() ^ tag) >> size.unit_shift(), bits, next)
+    }
+
+    /// The dense index `r × 512 + offset` of 4 KB frame `offset` of the
+    /// `r`-th 2 MB region: how [`AllocPolicy::Promote2M`] numbers the
+    /// frames it carves from its reservations. `None` outside every 2 MB
+    /// region handed out.
+    #[inline]
+    pub fn carved_index(&self, frame: Pfn) -> Option<u64> {
+        let frames = PageSize::Size2M.frames();
+        let region = self.region_index(PageSize::Size2M, frame)?;
+        Some(region * frames + (frame.raw() & (frames - 1)))
     }
 }
 
@@ -176,33 +261,40 @@ pub struct WalkPath {
     pub newly_mapped: bool,
 }
 
-/// One radix node: 512 slots of `(pfn << 2) | present | huge` (0 = not
-/// present).
-type Node = Box<[u64; NODE_ENTRIES]>;
-
-/// A reserved 2 MB frame region under [`AllocPolicy::Promote2M`].
-#[derive(Clone, Copy, Debug)]
-struct ReservedRegion {
-    /// Base frame of the physically contiguous 512-frame reservation.
+/// The 2 MB frame reservation of one leaf PT node's region under
+/// [`AllocPolicy::Promote2M`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Reservation {
+    /// Base frame of the physically contiguous 512-frame reservation,
+    /// allocated on the region's first touch.
     base: Pfn,
-    /// Distinct 4 KB pages of the region touched so far.
+    /// Distinct 4 KB pages of the region touched so far (0 = no
+    /// reservation yet).
     touched: u32,
-    /// Whether the PDE has been flipped to a huge mapping.
-    promoted: bool,
 }
 
+/// Arena index of the root (PML4) node.
+const ROOT: usize = 0;
+
 /// The four-level radix page table.
+///
+/// Nodes live in an arena in allocation order, so a walk follows each
+/// level by a vector index rather than a hash probe: an interior slot
+/// holds its child's arena index, and each node's physical frame sits in
+/// the parallel `node_pfns`.
 #[derive(Debug)]
 pub struct PageTable {
-    root: Pfn,
-    // Keyed by scattered frame numbers and probed up to four times per
-    // walk; the fast hasher keeps those probes off the SipHash tax.
-    nodes: HashMap<Pfn, Node, FastBuildHasher>,
+    /// Radix nodes: 512 slots of `(value << 2) | present | huge` each
+    /// (0 = not present).
+    nodes: Vec<[u64; NODE_ENTRIES]>,
+    /// Physical frame of each node, parallel to `nodes`.
+    node_pfns: Vec<Pfn>,
+    /// Promote2M: each leaf PT node's 2 MB reservation, parallel to
+    /// `nodes` (a PT node covers exactly one 2 MB region).
+    reservations: Vec<Reservation>,
     frames: FrameAllocator,
     mapped_pages: u64,
     policy: AllocPolicy,
-    /// 2 MB reservations keyed by `vpn >> 9` (Promote2M only).
-    reservations: HashMap<u64, ReservedRegion, FastBuildHasher>,
 }
 
 impl PageTable {
@@ -214,17 +306,23 @@ impl PageTable {
 
     /// Creates an empty page table mapping pages per `policy`.
     pub fn with_policy(policy: AllocPolicy) -> Self {
-        let mut frames =
+        let frames =
             if policy.is_default() { FrameAllocator::new() } else { FrameAllocator::partitioned() };
-        let root = frames.alloc();
-        let mut nodes = HashMap::default();
-        nodes.insert(root, new_node());
-        PageTable { root, nodes, frames, mapped_pages: 0, policy, reservations: HashMap::default() }
+        let mut table = PageTable {
+            nodes: Vec::new(),
+            node_pfns: Vec::new(),
+            reservations: Vec::new(),
+            frames,
+            mapped_pages: 0,
+            policy,
+        };
+        table.alloc_node();
+        table
     }
 
     /// Physical frame of the root (PML4) node.
     pub fn root(&self) -> Pfn {
-        self.root
+        self.node_pfn(ROOT)
     }
 
     /// The allocation policy mappings follow.
@@ -245,6 +343,25 @@ impl PageTable {
         self.nodes.len() as u64
     }
 
+    /// The dense index of the data page of `size` whose unit frame is
+    /// `unit` (`size.pfn_unit` of any of its 4 KB frames): its allocation
+    /// number among the frames or regions this policy maps pages of that
+    /// size from. Indices are small and distinct per size, so tables keyed
+    /// by page grow with the pages mapped.
+    ///
+    /// `None` for frames never handed out and, under the huge-page
+    /// policies, for page-table node frames; under the 4 KB policies a
+    /// node frame gets an index that no data page ever shares.
+    #[inline]
+    pub fn page_index(&self, size: PageSize, unit: Pfn) -> Option<usize> {
+        let index = match (size, self.policy) {
+            (PageSize::Size4K, AllocPolicy::Promote2M { .. }) => self.frames.carved_index(unit),
+            (PageSize::Size4K, _) => self.frames.singleton_index(unit),
+            _ => self.frames.region_index(size, Pfn::new(unit.raw() << size.unit_shift())),
+        };
+        index.map(|i| i as usize)
+    }
+
     /// The size at which `vpn` is (or would be) mapped, without mapping
     /// it. Read-only: used to key size-tagged TLB structures before a
     /// walk resolves.
@@ -253,21 +370,18 @@ impl PageTable {
             AllocPolicy::Base4K | AllocPolicy::Uniform(PageSize::Size4K) => PageSize::Size4K,
             AllocPolicy::Uniform(size) => size,
             AllocPolicy::Promote2M { .. } => {
-                let mut node_pfn = self.root;
+                let mut node = ROOT;
                 for level in [3u32, 2u32] {
-                    let Some(node) = self.nodes.get(&node_pfn) else {
-                        return PageSize::Size4K;
-                    };
-                    let slot = node[vpn.radix_index(level)];
+                    let slot = self.slot(node, vpn.radix_index(level));
                     if slot == 0 {
                         return PageSize::Size4K;
                     }
-                    node_pfn = slot_pfn(slot);
+                    node = slot_value(slot) as usize;
                 }
-                let pd_index = vpn.radix_index(1);
-                match self.nodes.get(&node_pfn) {
-                    Some(node) if slot_is_huge(node[pd_index]) => PageSize::Size2M,
-                    _ => PageSize::Size4K,
+                if slot_is_huge(self.slot(node, vpn.radix_index(1))) {
+                    PageSize::Size2M
+                } else {
+                    PageSize::Size4K
                 }
             }
         }
@@ -277,91 +391,42 @@ impl PageTable {
     /// and reports the full walk path.
     pub fn translate(&mut self, vpn: Vpn) -> WalkPath {
         match self.policy {
-            AllocPolicy::Base4K | AllocPolicy::Uniform(PageSize::Size4K) => {
-                self.translate_base(vpn)
+            AllocPolicy::Base4K | AllocPolicy::Uniform(_) => {
+                self.translate_uniform(vpn, self.policy.page_sizes()[0])
             }
-            AllocPolicy::Uniform(size) => self.translate_uniform(vpn, size),
             AllocPolicy::Promote2M { threshold } => self.translate_promote(vpn, threshold),
         }
     }
 
-    /// The paper's 4 KB walk, kept as its own loop so the default policy
-    /// performs the exact allocator-call and node-access sequence of the
-    /// pre-page-size code (the golden outputs pin this).
-    fn translate_base(&mut self, vpn: Vpn) -> WalkPath {
-        let mut node_pfns = [Pfn::new(0); 4];
-        let mut pte_addrs = [PhysAddr::new(0); 4];
-        let mut newly_mapped = false;
-        let mut node_pfn = self.root;
-        // Levels 3 (root) down to 1 point at child nodes.
-        for level in (1..=3).rev() {
-            let index = vpn.radix_index(level as u32);
-            node_pfns[level] = node_pfn;
-            pte_addrs[level] = pte_addr(node_pfn, index);
-            // dpc-lint: allow(hot-path::unwrap) -- node_pfn is the root (inserted in new) or a child inserted the moment it was allocated below
-            let node = self.nodes.get_mut(&node_pfn).expect("interior node must exist");
-            let slot = node[index];
-            let child = if slot == 0 {
-                let child = self.frames.alloc();
-                // Re-borrow after alloc (frames and nodes are disjoint
-                // fields, but the node borrow must be re-established).
-                // dpc-lint: allow(hot-path::unwrap) -- re-borrow of the node fetched two lines up; alloc cannot remove map entries
-                self.nodes.get_mut(&node_pfn).expect("interior node must exist")[index] =
-                    encode_slot(child, false);
-                self.nodes.insert(child, new_node());
-                child
-            } else {
-                slot_pfn(slot)
-            };
-            node_pfn = child;
-        }
-        // Level 0: leaf PT maps the data page.
-        let index = vpn.radix_index(0);
-        node_pfns[0] = node_pfn;
-        pte_addrs[0] = pte_addr(node_pfn, index);
-        // dpc-lint: allow(hot-path::unwrap) -- the level-1 iteration above inserted this node before naming it as the child
-        let node = self.nodes.get_mut(&node_pfn).expect("leaf node must exist");
-        let pfn = if node[index] == 0 {
-            let frame = self.frames.alloc();
-            node[index] = encode_slot(frame, false);
-            self.mapped_pages += 1;
-            newly_mapped = true;
-            frame
-        } else {
-            slot_pfn(node[index])
-        };
-        WalkPath { node_pfns, pte_addrs, pfn, size: PageSize::Size4K, newly_mapped }
-    }
-
-    /// Uniform huge mapping: the walk terminates at `size`'s PDE/PDPTE,
-    /// which maps a whole aligned frame region on first touch.
+    /// One mapping size for every page: the walk terminates at `size`'s
+    /// PTE/PDE/PDPTE, which maps a 4 KB frame (the paper's configuration)
+    /// or a whole aligned frame region on first touch.
     fn translate_uniform(&mut self, vpn: Vpn, size: PageSize) -> WalkPath {
         let terminal = size.terminal_level();
         let mut node_pfns = [Pfn::new(0); 4];
         let mut pte_addrs = [PhysAddr::new(0); 4];
-        let mut node_pfn = self.root;
+        let mut node = ROOT;
         dpc_types::invariant!(terminal < 4, "terminal level indexes the 4-level walk arrays");
-        for level in (terminal + 1..=3).rev() {
+        for level in (terminal..=3).rev() {
             let index = vpn.radix_index(level as u32);
-            node_pfns[level] = node_pfn;
-            pte_addrs[level] = pte_addr(node_pfn, index);
-            node_pfn = self.child_or_alloc(node_pfn, index);
+            node_pfns[level] = self.node_pfn(node);
+            pte_addrs[level] = pte_addr(node_pfns[level], index);
+            if level > terminal {
+                node = self.child_or_alloc(node, index);
+            }
         }
         let index = vpn.radix_index(terminal as u32);
-        node_pfns[terminal] = node_pfn;
-        pte_addrs[terminal] = pte_addr(node_pfn, index);
-        // dpc-lint: allow(hot-path::unwrap) -- the loop above inserted this node before naming it as the child
-        let node = self.nodes.get_mut(&node_pfn).expect("terminal node must exist");
-        let slot = node[index];
+        let slot = self.slot(node, index);
         let (base, newly_mapped) = if slot == 0 {
-            let base = self.frames.alloc_region(size);
-            // dpc-lint: allow(hot-path::unwrap) -- re-borrow of the node fetched above; alloc_region cannot remove map entries
-            self.nodes.get_mut(&node_pfn).expect("terminal node must exist")[index] =
-                encode_slot(base, true);
+            let base = match size {
+                PageSize::Size4K => self.frames.alloc(),
+                _ => self.frames.alloc_region(size),
+            };
+            self.set_slot(node, index, encode_slot(base.raw(), size != PageSize::Size4K));
             self.mapped_pages += 1;
             (base, true)
         } else {
-            (slot_pfn(slot), false)
+            (Pfn::new(slot_value(slot)), false)
         };
         let pfn = Pfn::new(base.raw() + size.frame_offset(vpn));
         WalkPath { node_pfns, pte_addrs, pfn, size, newly_mapped }
@@ -373,23 +438,21 @@ impl PageTable {
     fn translate_promote(&mut self, vpn: Vpn, threshold: u32) -> WalkPath {
         let mut node_pfns = [Pfn::new(0); 4];
         let mut pte_addrs = [PhysAddr::new(0); 4];
-        let mut node_pfn = self.root;
+        let mut node = ROOT;
         for level in (2..=3).rev() {
             let index = vpn.radix_index(level as u32);
-            node_pfns[level] = node_pfn;
-            pte_addrs[level] = pte_addr(node_pfn, index);
-            node_pfn = self.child_or_alloc(node_pfn, index);
+            node_pfns[level] = self.node_pfn(node);
+            pte_addrs[level] = pte_addr(node_pfns[level], index);
+            node = self.child_or_alloc(node, index);
         }
         // Level 1 (PD): either a huge leaf or a pointer to the PT.
-        let pd_pfn = node_pfn;
+        let pd = node;
         let pd_index = vpn.radix_index(1);
-        node_pfns[1] = pd_pfn;
-        pte_addrs[1] = pte_addr(pd_pfn, pd_index);
-        // dpc-lint: allow(hot-path::unwrap) -- the loop above inserted this node before naming it as the child
-        let pd_slot = self.nodes.get_mut(&pd_pfn).expect("PD node must exist")[pd_index];
+        node_pfns[1] = self.node_pfn(pd);
+        pte_addrs[1] = pte_addr(node_pfns[1], pd_index);
+        let pd_slot = self.slot(pd, pd_index);
         if slot_is_huge(pd_slot) {
-            let base = slot_pfn(pd_slot);
-            let pfn = Pfn::new(base.raw() + PageSize::Size2M.frame_offset(vpn));
+            let pfn = Pfn::new(slot_value(pd_slot) + PageSize::Size2M.frame_offset(vpn));
             return WalkPath {
                 node_pfns,
                 pte_addrs,
@@ -398,71 +461,80 @@ impl PageTable {
                 newly_mapped: false,
             };
         }
-        let pt_pfn =
-            if pd_slot == 0 { self.child_or_alloc(pd_pfn, pd_index) } else { slot_pfn(pd_slot) };
+        let pt = self.child_or_alloc(pd, pd_index);
         // Level 0: 4 KB leaf, frames carved from the region reservation.
         let index = vpn.radix_index(0);
-        node_pfns[0] = pt_pfn;
-        pte_addrs[0] = pte_addr(pt_pfn, index);
-        // dpc-lint: allow(hot-path::unwrap) -- child_or_alloc inserted this node before returning it
-        let slot = self.nodes.get_mut(&pt_pfn).expect("leaf node must exist")[index];
+        node_pfns[0] = self.node_pfn(pt);
+        pte_addrs[0] = pte_addr(node_pfns[0], index);
+        let slot = self.slot(pt, index);
         let (pfn, newly_mapped) = if slot == 0 {
-            let region = vpn.raw() >> PageSize::Size2M.unit_shift();
-            let (frames, reservations) = (&mut self.frames, &mut self.reservations);
-            let resv = reservations.entry(region).or_insert_with(|| ReservedRegion {
-                base: frames.alloc_region(PageSize::Size2M),
-                touched: 0,
-                promoted: false,
-            });
-            let frame = Pfn::new(resv.base.raw() + PageSize::Size2M.frame_offset(vpn));
-            resv.touched += 1;
-            let promote = resv.touched >= threshold && !resv.promoted;
-            if promote {
-                resv.promoted = true;
+            dpc_types::invariant!(
+                pt < self.reservations.len(),
+                "every node has a reservation slot"
+            );
+            let resv = &mut self.reservations[pt];
+            if resv.touched == 0 {
+                resv.base = self.frames.alloc_region(PageSize::Size2M);
             }
-            let base = resv.base;
-            // dpc-lint: allow(hot-path::unwrap) -- re-borrow of the leaf node fetched above; reservation bookkeeping cannot remove map entries
-            self.nodes.get_mut(&pt_pfn).expect("leaf node must exist")[index] =
-                encode_slot(frame, false);
+            resv.touched += 1;
+            let (base, promote) = (resv.base, resv.touched >= threshold);
+            let frame = Pfn::new(base.raw() + PageSize::Size2M.frame_offset(vpn));
+            self.set_slot(pt, index, encode_slot(frame.raw(), false));
             if promote {
                 // Flip the PDE to a huge leaf over the same frames; the
                 // abandoned PT node stays allocated (as on real systems
-                // until the OS reclaims it). Visible from the next walk.
-                // dpc-lint: allow(hot-path::unwrap) -- pd_pfn was fetched from the map a few lines up
-                self.nodes.get_mut(&pd_pfn).expect("PD node must exist")[pd_index] =
-                    encode_slot(base, true);
+                // until the OS reclaims it) and no walk reaches it again.
+                // Visible from the next walk.
+                self.set_slot(pd, pd_index, encode_slot(base.raw(), true));
             }
             self.mapped_pages += 1;
             (frame, true)
         } else {
-            (slot_pfn(slot), false)
+            (Pfn::new(slot_value(slot)), false)
         };
         WalkPath { node_pfns, pte_addrs, pfn, size: PageSize::Size4K, newly_mapped }
     }
 
     /// Follows (or demand-allocates) the child node under `index` of the
-    /// interior node at `node_pfn`.
-    fn child_or_alloc(&mut self, node_pfn: Pfn, index: usize) -> Pfn {
-        dpc_types::invariant!(index < NODE_ENTRIES, "radix indices are 9-bit");
-        // dpc-lint: allow(hot-path::unwrap) -- callers only pass node frames already inserted into the map
-        let slot = self.nodes.get_mut(&node_pfn).expect("interior node must exist")[index];
+    /// interior node `node`, returning the child's arena index.
+    fn child_or_alloc(&mut self, node: usize, index: usize) -> usize {
+        let slot = self.slot(node, index);
         if slot == 0 {
-            let child = self.frames.alloc();
-            // dpc-lint: allow(hot-path::unwrap) -- re-borrow of the node fetched two lines up; alloc cannot remove map entries
-            self.nodes.get_mut(&node_pfn).expect("interior node must exist")[index] =
-                encode_slot(child, false);
-            self.nodes.insert(child, new_node());
+            let child = self.alloc_node();
+            self.set_slot(node, index, encode_slot(child as u64, false));
             child
         } else {
-            slot_pfn(slot)
+            slot_value(slot) as usize
         }
     }
 
-    /// Returns the node frame a walk starting at `level` for `vpn` would
-    /// visit, if mapped — used to verify page-walk-cache correctness.
-    pub fn node_at(&mut self, vpn: Vpn, level: u32) -> Pfn {
-        dpc_types::invariant!(level < 4, "radix walks have 4 levels, got {level}");
-        self.translate(vpn).node_pfns[(level as usize).min(3)]
+    /// Allocates an empty node and its frame, returning its arena index.
+    fn alloc_node(&mut self) -> usize {
+        let pfn = self.frames.alloc();
+        self.nodes.push([0; NODE_ENTRIES]);
+        self.node_pfns.push(pfn);
+        self.reservations.push(Reservation::default());
+        self.nodes.len() - 1
+    }
+
+    #[inline]
+    fn node_pfn(&self, node: usize) -> Pfn {
+        dpc_types::invariant!(node < self.node_pfns.len(), "arena index {node} out of range");
+        self.node_pfns[node]
+    }
+
+    #[inline]
+    fn slot(&self, node: usize, index: usize) -> u64 {
+        dpc_types::invariant!(node < self.nodes.len(), "arena index {node} out of range");
+        dpc_types::invariant!(index < NODE_ENTRIES, "radix indices are 9-bit");
+        self.nodes[node][index]
+    }
+
+    #[inline]
+    fn set_slot(&mut self, node: usize, index: usize, slot: u64) {
+        dpc_types::invariant!(node < self.nodes.len(), "arena index {node} out of range");
+        dpc_types::invariant!(index < NODE_ENTRIES, "radix indices are 9-bit");
+        self.nodes[node][index] = slot;
     }
 }
 
@@ -470,11 +542,6 @@ impl Default for PageTable {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn new_node() -> Node {
-    // dpc-lint: allow(hot-path::alloc) -- demand-mapping allocates one PT node per first touch; steady-state replay stays allocation-free (proved by the counting-allocator test)
-    Box::new([0u64; NODE_ENTRIES])
 }
 
 /// Physical address of slot `index` in the node at `node_pfn` (8-byte
@@ -526,6 +593,91 @@ mod tests {
     #[should_panic(expected = "partitioned")]
     fn legacy_allocator_rejects_regions() {
         FrameAllocator::new().alloc_region(PageSize::Size2M);
+    }
+
+    #[test]
+    fn singleton_indices_round_trip_in_both_modes() {
+        for mut alloc in [FrameAllocator::new(), FrameAllocator::partitioned()] {
+            let frames: Vec<Pfn> = (0..100_000).map(|_| alloc.alloc()).collect();
+            for (k, &frame) in (1..).zip(&frames) {
+                assert_eq!(alloc.singleton_index(frame), Some(k), "frame {frame:?}");
+            }
+            assert_eq!(alloc.singleton_index(Pfn::new(0)), None, "frame 0 is never handed out");
+            let next = alloc.clone().alloc();
+            assert_eq!(alloc.singleton_index(next), None, "frames past the cursor");
+            assert_eq!(alloc.carved_index(frames[7]), None, "singletons are never carved");
+            for size in PageSize::ALL {
+                assert_eq!(alloc.region_index(size, frames[7]), None, "{size}: other partition");
+            }
+        }
+        // Legacy mode spans 2^34 frames; nothing beyond it was handed out.
+        assert_eq!(FrameAllocator::new().singleton_index(Pfn::new(1 << 34)), None);
+    }
+
+    #[test]
+    fn region_indices_round_trip() {
+        let mut alloc = FrameAllocator::partitioned();
+        let singleton = alloc.alloc();
+        let mut bases = Vec::new();
+        for r in 1..=2_000u64 {
+            let base = alloc.alloc_region(PageSize::Size2M);
+            for offset in [0, 1, 0x1ff] {
+                let frame = Pfn::new(base.raw() + offset);
+                assert_eq!(alloc.region_index(PageSize::Size2M, frame), Some(r));
+                assert_eq!(alloc.carved_index(frame), Some(r * 512 + offset), "carved slot");
+            }
+            bases.push(base);
+        }
+        for g in 1..=200u64 {
+            let base = alloc.alloc_region(PageSize::Size1G);
+            for offset in [0, 1, (1 << 18) - 1] {
+                let frame = Pfn::new(base.raw() + offset);
+                assert_eq!(alloc.region_index(PageSize::Size1G, frame), Some(g));
+                assert_eq!(alloc.region_index(PageSize::Size2M, frame), None, "other partition");
+                assert_eq!(alloc.carved_index(frame), None);
+                assert_eq!(alloc.singleton_index(frame), None);
+            }
+            bases.push(base);
+        }
+        let two_m = bases[0];
+        assert_eq!(alloc.region_index(PageSize::Size1G, two_m), None, "other partition");
+        assert_eq!(alloc.singleton_index(two_m), None, "other partition");
+        assert_eq!(alloc.region_index(PageSize::Size4K, two_m), None, "4 KB has no regions");
+        assert_eq!(alloc.singleton_index(singleton), Some(1));
+        // Frame 0, and regions past the cursor.
+        for size in [PageSize::Size2M, PageSize::Size1G] {
+            assert_eq!(alloc.region_index(size, Pfn::new(0)), None);
+            let next = alloc.clone().alloc_region(size);
+            assert_eq!(alloc.region_index(size, next), None, "{size}: past the cursor");
+        }
+        assert_eq!(alloc.carved_index(Pfn::new(0)), None);
+    }
+
+    #[test]
+    fn page_indices_are_distinct_per_page_and_skip_node_frames() {
+        for policy in [
+            AllocPolicy::Base4K,
+            AllocPolicy::Uniform(PageSize::Size4K),
+            AllocPolicy::Uniform(PageSize::Size2M),
+            AllocPolicy::Uniform(PageSize::Size1G),
+            AllocPolicy::Promote2M { threshold: 4 },
+        ] {
+            let mut pt = PageTable::with_policy(policy);
+            let mut pages = std::collections::BTreeMap::new();
+            for i in 0..3_000u64 {
+                let vpn = Vpn::new(0x4_0000 + (i * 0x9E37) % 0x10_0000);
+                let walk = pt.translate(vpn);
+                let index = pt.page_index(walk.size, walk.size.pfn_unit(walk.pfn));
+                let index = index.unwrap_or_else(|| panic!("{policy:?}: mapped page unindexed"));
+                let page = (walk.size, walk.size.vpn_unit(vpn));
+                assert_eq!(*pages.entry((walk.size, index)).or_insert(page), page, "{policy:?}");
+                if !policy.is_default() && policy != AllocPolicy::Uniform(PageSize::Size4K) {
+                    for node in walk.node_pfns.into_iter().filter(|&n| n != Pfn::new(0)) {
+                        assert_eq!(pt.page_index(walk.size, walk.size.pfn_unit(node)), None);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,13 +11,11 @@ use crate::set_assoc::InsertPriority;
 use crate::stats::{DeadnessSampler, EvictionClasses, SimStats};
 use crate::tlb::{Tlb, TlbGroup};
 use crate::walker::Walker;
-use dpc_types::hash::FastBuildHasher;
 use dpc_types::stream::{EventBatch, EventStream, StreamCursor};
 use dpc_types::{
     AccessKind, ConfigError, Event, PageSize, Pc, Pfn, PhysAddr, SystemConfig, TlbFillPolicy,
     VirtAddr, Vpn, Workload,
 };
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -112,10 +110,12 @@ pub struct System<L: LltPolicy = DynLltPolicy, C: LlcPolicy = DynLlcPolicy> {
 
     llt_evictions: EvictionClasses,
     llt_sampler: DeadnessSampler,
-    /// DOA-ness of each page's most recent completed LLT stay (Table III).
-    page_stay_doa: HashMap<Vpn, bool, FastBuildHasher>,
-    /// Reverse translation map for classifying evicted LLC blocks.
-    pfn_to_vpn: HashMap<Pfn, Vpn, FastBuildHasher>,
+    /// The reverse translation map for classifying evicted LLC blocks
+    /// (Table III): one [`PageRecord`] per data page, by page size
+    /// (`size.index()`) and the dense index [`PageTable::page_index`]
+    /// gives the page's frame. It grows with the pages mapped, not with
+    /// the frame range.
+    reverse: [Vec<PageRecord>; 3],
     doa_blocks_on_doa_pages: u64,
     doa_blocks_classified: u64,
 
@@ -163,8 +163,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             mshr: Mshr::new(MSHR_CAPACITY),
             llt_evictions: EvictionClasses::default(),
             llt_sampler: DeadnessSampler::new(),
-            page_stay_doa: HashMap::default(),
-            pfn_to_vpn: HashMap::default(),
+            reverse: Default::default(),
             doa_blocks_on_doa_pages: 0,
             doa_blocks_classified: 0,
             sample_interval: DEFAULT_SAMPLE_INTERVAL,
@@ -354,13 +353,38 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         }
     }
 
-    /// Key into the reverse translation map for a unit frame of `size`.
+    /// The page size of LLT key `key` (the inverse of the size tag
+    /// [`System::llt_key_from_unit`] adds).
     #[inline]
-    fn pfn_map_key(&self, size: PageSize, unit_pfn: Pfn) -> Pfn {
+    fn key_size(&self, key: Vpn) -> PageSize {
         if self.size_tagged {
-            Pfn::new((unit_pfn.raw() << 2) | size.index())
+            PageSize::ALL[(key.raw() & 3) as usize]
         } else {
-            unit_pfn
+            self.llt_sizes[0]
+        }
+    }
+
+    /// The reverse-map record of the page of `size` with unit frame
+    /// `unit_pfn`, or `None` for frames that hold no page of that size.
+    #[inline]
+    fn page_record(&mut self, size: PageSize, unit_pfn: Pfn) -> Option<&mut PageRecord> {
+        let index = self.page_table.page_index(size, unit_pfn)?;
+        let records = self.reverse.get_mut(size.index() as usize)?;
+        if index >= records.len() {
+            records.resize(index + 1, PageRecord::default());
+        }
+        records.get_mut(index)
+    }
+
+    /// Records that page `key` (of `size`, unit frame `unit_pfn`) ended
+    /// an LLT stay (or was bypassed, `doa`), for the block↔page
+    /// correlation. The record is found by frame, which names the same
+    /// page as `key` because an LLT entry's frame is its key's mapping.
+    #[inline]
+    fn record_stay(&mut self, size: PageSize, key: Vpn, unit_pfn: Pfn, doa: bool) {
+        if let Some(record) = self.page_record(size, unit_pfn) {
+            dpc_types::invariant!(record.key == Some(key), "LLT entry {key:?} names another frame");
+            record.last_stay_doa = Some(doa);
         }
     }
 
@@ -464,7 +488,9 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         let size = outcome.size;
         let key = self.llt_key(size, vpn);
         let unit_pfn = size.pfn_unit(outcome.pfn);
-        self.pfn_to_vpn.insert(self.pfn_map_key(size, unit_pfn), key);
+        if let Some(record) = self.page_record(size, unit_pfn) {
+            record.key = Some(key);
+        }
         let fill_pc = self.mshr.complete(vpn);
         if self.config.tlb_fill == TlbFillPolicy::Both {
             self.llt_insert(size, key, unit_pfn, fill_pc);
@@ -495,7 +521,7 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
                 self.llt_policy.on_bypass(key, unit_pfn);
                 // A bypassed page had no LLT stay; for the block↔page
                 // correlation it counts as a (predicted) dead page.
-                self.page_stay_doa.insert(key, true);
+                self.record_stay(size, key, unit_pfn, true);
                 // dpPred → PFQ message (paper Fig. 7), renamed to the
                 // prediction unit (the policy's largest page size).
                 let pfq_pfn = Pfn::new(unit_pfn.raw() >> (self.pfq_unit_shift - size.unit_shift()));
@@ -553,7 +579,8 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             let end_seq = self.llt.array().seq();
             self.llt_evictions.record(life, end_seq);
             self.llt_sampler.record_stay(life, end_seq);
-            self.page_stay_doa.insert(evicted_key, life.hits == 0);
+            let size = self.key_size(evicted_key);
+            self.record_stay(size, evicted_key, Pfn::new(entry.pfn), life.hits == 0);
             if !self.llt_null {
                 self.llt_policy.on_evict(EvictedPage {
                     vpn: evicted_key,
@@ -573,22 +600,20 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
         let mut pending = std::mem::take(&mut self.hier.pending_doa_evictions);
         for pfn in pending.drain(..) {
             // The block's 4 KB-grain frame may be mapped at any enabled
-            // size; the reverse map resolves to the page's LLT key.
-            let mut mapped = None;
-            for &size in self.llt_sizes {
-                let map_key = self.pfn_map_key(size, size.pfn_unit(pfn));
-                if let Some(&key) = self.pfn_to_vpn.get(&map_key) {
-                    mapped = Some(key);
-                    break;
-                }
-            }
-            let Some(key) = mapped else {
-                continue; // page-table frame or unmapped: unclassifiable
+            // size; the first walked page holding it owns the block.
+            let owner = self.llt_sizes.iter().find_map(|&size| {
+                let index = self.page_table.page_index(size, size.pfn_unit(pfn))?;
+                let record = self.reverse.get(size.index() as usize)?.get(index)?;
+                Some(*record).filter(|record| record.key.is_some())
+            });
+            // Page-table frames and never-walked pages are unclassifiable.
+            let Some(PageRecord { key: Some(key), last_stay_doa }) = owner else {
+                continue;
             };
             let page_doa = match self.llt.resident_hits(key) {
                 Some(hits) => hits == 0,
-                None => match self.page_stay_doa.get(&key) {
-                    Some(&doa) => doa,
+                None => match last_stay_doa {
+                    Some(doa) => doa,
                     None => continue,
                 },
             };
@@ -636,6 +661,16 @@ impl<L: LltPolicy, C: LlcPolicy> System<L, C> {
             doa_blocks_classified: self.doa_blocks_classified,
         }
     }
+}
+
+/// What DOA-block classification knows about one data page.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageRecord {
+    /// The page's LLT key, set by its first walk.
+    key: Option<Vpn>,
+    /// DOA-ness of the page's most recent completed LLT stay; a bypassed
+    /// fill counts as a DOA stay.
+    last_stay_doa: Option<bool>,
 }
 
 #[cfg(test)]

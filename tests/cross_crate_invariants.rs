@@ -36,6 +36,29 @@ fn spec_strategy() -> impl Strategy<Value = StreamSpec> {
         .prop_map(|accesses| StreamSpec { accesses })
 }
 
+/// Every page-allocation policy, Promote2M with thresholds small enough
+/// that short streams promote.
+fn policy_strategy() -> impl Strategy<Value = AllocPolicy> {
+    prop_oneof![
+        Just(AllocPolicy::Base4K),
+        Just(AllocPolicy::Uniform(PageSize::Size2M)),
+        Just(AllocPolicy::Uniform(PageSize::Size1G)),
+        (1u32..=4).prop_map(|threshold| AllocPolicy::Promote2M { threshold }),
+    ]
+}
+
+/// The paper machine under `policy`, with the LLT and the caches shrunk
+/// so that a few hundred accesses already evict from every level: the
+/// LLT-stay and DOA-block bookkeeping then runs on every case.
+fn machine(policy: AllocPolicy) -> SystemConfig {
+    let mut config =
+        SystemConfig::paper_baseline().with_page_policy(policy).with_l2_tlb_entries(16);
+    config.l1d.size_bytes = 4 << 10;
+    config.l2.size_bytes = 8 << 10;
+    config.llc.size_bytes = 16 << 10;
+    config
+}
+
 fn check_invariants(stats: &SimStats, n: usize) {
     assert_eq!(stats.mem_ops, n as u64);
     for st in [&stats.l1i_tlb, &stats.l1d_tlb, &stats.llt, &stats.l1d, &stats.l2, &stats.llc] {
@@ -46,23 +69,33 @@ fn check_invariants(stats: &SimStats, n: usize) {
     assert!(stats.walk_pte_loads <= 4 * stats.walks);
     assert!(stats.cycles >= (stats.instructions / 4));
     assert!(stats.llt_deadness.dead >= stats.llt_deadness.doa);
+    // Table III's correlation classifies a subset of the DOA LLC
+    // evictions, and counts a subset of those as on DOA pages.
+    assert!(stats.doa_blocks_on_doa_pages <= stats.doa_blocks_classified);
+    assert!(stats.doa_blocks_classified <= stats.llc_evictions.doa);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn arbitrary_streams_respect_invariants_baseline(spec in spec_strategy()) {
+    fn arbitrary_streams_respect_invariants_baseline(
+        spec in spec_strategy(),
+        policy in policy_strategy(),
+    ) {
         let n = spec.accesses.len();
-        let mut system = System::new(SystemConfig::paper_baseline()).unwrap();
+        let mut system = System::new(machine(policy)).unwrap();
         let stats = system.run(&mut SpecWorkload { accesses: spec.accesses, pos: 0 });
         check_invariants(&stats, n);
     }
 
     #[test]
-    fn arbitrary_streams_respect_invariants_with_predictors(spec in spec_strategy()) {
+    fn arbitrary_streams_respect_invariants_with_predictors(
+        spec in spec_strategy(),
+        policy in policy_strategy(),
+    ) {
         let n = spec.accesses.len();
-        let config = SystemConfig::paper_baseline();
+        let config = machine(policy);
         let mut system = System::with_policies(
             config,
             Box::new(DpPred::paper_default()),
@@ -74,9 +107,12 @@ proptest! {
     }
 
     #[test]
-    fn arbitrary_streams_respect_invariants_with_baseline_predictors(spec in spec_strategy()) {
+    fn arbitrary_streams_respect_invariants_with_baseline_predictors(
+        spec in spec_strategy(),
+        policy in policy_strategy(),
+    ) {
         let n = spec.accesses.len();
-        let config = SystemConfig::paper_baseline();
+        let config = machine(policy);
         let mut system = System::with_policies(
             config,
             Box::new(ShipTlb::paper_default()),
